@@ -28,14 +28,13 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.names import BACKENDS, EXPERIMENT_MODULES, FAULTS, STAGES, TRAINING_SETS
+
 
 def _cmd_list(_args) -> int:
-    from repro.experiments import EXPERIMENTS
-
     print("available experiments:")
-    for ident, runner in EXPERIMENTS.items():
-        doc = (runner.__module__.split(".")[-1]).replace("_", " ")
-        print(f"  {ident:8s} {doc}")
+    for ident, module in EXPERIMENT_MODULES.items():
+        print(f"  {ident:8s} {module.replace('_', ' ')}")
     return 0
 
 
@@ -85,6 +84,10 @@ def _cmd_cache(args) -> int:
         stats_payload,
     )
     from repro.symir.expr import intern_table_size
+
+    # The memos listed below register when the verifier and the symbolic
+    # IR it uses are imported.
+    import repro.verify  # noqa: F401
 
     cache = disk_cache()
     if args.action == "clear":
@@ -705,11 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     translate = sub.add_parser("translate", help="run one benchmark under the DBT")
     translate.add_argument("benchmark")
-    from repro.param import STAGES
-
     translate.add_argument("--stage", default="condition", choices=STAGES)
-    from repro.dbt import BACKENDS
-
     translate.add_argument("--backend", default="interp", choices=BACKENDS,
                            help="execution backend (interp is the oracle)")
     translate.add_argument("--tier0", metavar="PATH",
@@ -724,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
         "distill", help="distill a tier-0 hot ruleset from workload "
                         "profiling (versioned, content-addressed artifact)"
     )
-    distill.add_argument("--training", default="quick", choices=("quick", "full"),
+    distill.add_argument("--training", default="quick", choices=TRAINING_SETS,
                          help="rule-training corpus to distill from (matches "
                               "`serve --training`)")
     distill.add_argument("--stage", default="condition", choices=STAGES,
@@ -794,8 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     difftest.add_argument("--backend", default="interp", choices=BACKENDS,
                           help="DBT execution backend under test (the "
                                "reference interpreter is always the oracle)")
-    from repro.difftest.oracle import FAULTS
-
     difftest.add_argument("--fault", choices=FAULTS,
                           help="inject a translator fault (oracle self-check)")
     difftest.add_argument("--corpus-dir", metavar="DIR",
@@ -828,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = ephemeral; default 9477)")
     serve.add_argument("--stage", default="condition", choices=STAGES,
                        help="default parameterization stage for requests")
-    serve.add_argument("--training", default="quick", choices=("quick", "full"),
+    serve.add_argument("--training", default="quick", choices=TRAINING_SETS,
                        help="rule-training corpus loaded at startup "
                             "(quick = 2 benchmarks, full = whole suite)")
     serve.add_argument("--shards", type=int, default=8,
@@ -892,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="versioned ruleset store to publish into "
                                "(default <workdir>/rulesets)")
     pipeline.add_argument("--training", default="quick",
-                          choices=("quick", "full"),
+                          choices=TRAINING_SETS,
                           help="training corpus (quick = 2 benchmarks)")
     pipeline.add_argument("--benchmarks", default=None, metavar="A,B,...",
                           help="explicit corpus benchmark list (overrides "

@@ -34,22 +34,20 @@ from repro.dbt.guest_interp import GuestInterpreter
 from repro.dbt.metrics import RunMetrics
 from repro.dbt.runtime import (
     ENV_BASE,
+    ENV_WORDS,
     HALT_ADDRESS,
     env_flag_addr,
     env_pc_word,
     env_reg_addr,
-    is_env_address,
 )
 from repro.dbt.trace import TRACE_STATS, CompiledTrace, TraceConfig, form_trace
 from repro.dbt.translator import BlockTranslator, TranslatedBlock, TranslationConfig
 from repro.errors import ExecutionError
 from repro.lang.program import STACK_BASE, CompiledUnit
+from repro.names import BACKENDS  # re-exported: backends DBTEngine accepts
 from repro.semantics.state import ConcreteState
 
 DEFAULT_MAX_BLOCKS = 2_000_000
-
-#: Execution backends accepted by :class:`DBTEngine`.
-BACKENDS = ("interp", "jit", "trace")
 
 
 @dataclass
@@ -65,10 +63,11 @@ class DBTRunResult:
 
     def guest_memory(self) -> Dict[int, int]:
         """Guest-visible memory (environment slots excluded)."""
+        env_lo, env_hi = ENV_WORDS
         return {
             word_addr: value
             for word_addr, value in self.state.memory.items()
-            if not is_env_address(word_addr * 4) and value
+            if value and not env_lo <= word_addr < env_hi
         }
 
     def architectural_snapshot(self) -> Dict[str, Dict]:

@@ -25,6 +25,13 @@ _FLAG_ORDER = ("N", "Z", "C", "V")
 _REG_SLOT = {name: i for i, name in enumerate(_REG_ORDER)}
 _FLAG_SLOT = {name: len(_REG_ORDER) + i for i, name in enumerate(_FLAG_ORDER)}
 
+#: One past the last environment byte.
+ENV_END = ENV_BASE + 4 * (len(_REG_ORDER) + len(_FLAG_ORDER))
+
+#: Word indices ``[lo, hi)`` of the environment slots (both ends are
+#: word-aligned, so word ``w`` is a slot iff ``is_env_address(4 * w)``).
+ENV_WORDS = (ENV_BASE // 4, ENV_END // 4)
+
 #: Guest "address" that means "halt the machine" when control reaches it.
 HALT_ADDRESS = 0xFFFF_FFF0
 
@@ -67,4 +74,4 @@ def scratch_reg(index: int) -> Reg:
 
 
 def is_env_address(addr: int) -> bool:
-    return ENV_BASE <= addr < ENV_BASE + 4 * (len(_REG_ORDER) + len(_FLAG_ORDER))
+    return ENV_BASE <= addr < ENV_END

@@ -32,13 +32,9 @@ from repro.dbt.guest_interp import GuestInterpreter
 from repro.lang.program import CompiledUnit
 from repro.learning.rule import TranslationRule
 from repro.learning.ruleset import RuleSet
+from repro.names import FAULTS, TRAINING_BENCHMARKS  # re-exported
 from repro.param.engine import SystemSetup, build_setup
 from repro.verify.checker import FLAG_EQUIV, FLAG_MISMATCH
-
-#: Benchmarks whose learned rules seed the fuzzing rule set.  Deliberately a
-#: *small* training set (the paper's premise: less training data), so most of
-#: the bucket universe is reachable only through parameterized derived rules.
-TRAINING_BENCHMARKS: Tuple[str, ...] = ("mcf", "libquantum")
 
 #: Guards against runaway generated programs (the generator only emits
 #: bounded loops, but shrinking can splice arbitrary subsets).
@@ -47,8 +43,6 @@ MAX_DBT_BLOCKS = 50_000
 
 #: Register names compared by the oracle.
 ORACLE_REGS: Tuple[str, ...] = tuple(f"r{i}" for i in range(13)) + ("sp", "lr")
-
-FAULTS: Tuple[str, ...] = ("swap-operands", "flag-lie")
 
 #: Non-commutative ALU mnemonics: swapping the source operands of a correct
 #: rule is guaranteed to change semantics (given distinct register values).

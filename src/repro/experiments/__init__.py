@@ -1,31 +1,14 @@
 """Experiment harnesses — one module per paper table/figure."""
 
-from repro.experiments import (
-    fig02_rule_growth,
-    fig11_speedup,
-    fig12_coverage,
-    fig13_ratio,
-    fig14_coverage_factors,
-    fig15_perf_factors,
-    fig16_training_size,
-    table1_learning_stats,
-    table2_host_insns,
-    table3_rule_counts,
-)
+from importlib import import_module
+
 from repro.experiments.charts import render_chart, render_series
 from repro.experiments.report import ExperimentResult, format_table
+from repro.names import EXPERIMENT_MODULES
 
 EXPERIMENTS = {
-    "fig02": fig02_rule_growth.run,
-    "table1": table1_learning_stats.run,
-    "fig11": fig11_speedup.run,
-    "fig12": fig12_coverage.run,
-    "fig13": fig13_ratio.run,
-    "table2": table2_host_insns.run,
-    "fig14": fig14_coverage_factors.run,
-    "fig15": fig15_perf_factors.run,
-    "fig16": fig16_training_size.run,
-    "table3": table3_rule_counts.run,
+    ident: import_module(f"{__name__}.{module}").run
+    for ident, module in EXPERIMENT_MODULES.items()
 }
 
 __all__ = ["EXPERIMENTS", "ExperimentResult", "format_table", "render_chart", "render_series"]

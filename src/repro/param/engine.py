@@ -14,11 +14,9 @@ from repro.cache import MISS, BoundedMemo
 from repro.dbt.translator import TranslationConfig
 from repro.learning.ruleset import RuleSet
 from repro.learning.store import ruleset_fingerprint
+from repro.names import STAGES  # re-exported: the configuration keys
 from repro.param.derive import ParamCounts, ParamResult, derive_rules
 from repro.param.seqderive import derive_sequence_rules
-
-#: Configuration keys in cumulative order.
-STAGES = ("qemu", "wopara", "opcode", "addrmode", "condition", "seqparam", "manual")
 
 
 @dataclass

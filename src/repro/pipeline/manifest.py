@@ -21,6 +21,10 @@ mapping:
 :class:`ServingRuleset` is the serve-time handle: configs plus identity
 (version, body digest, training label, source), the unit the hot-reload
 machinery in :mod:`repro.service.server` swaps atomically.
+
+The rule (de)serializers of :mod:`repro.learning` are imported inside the
+functions that convert rules, so reading the store (``repro pipeline
+status``, manifest and digest checks) never loads the learner.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.learning.ruleset import RuleSet
-from repro.learning.store import rule_from_dict, rule_to_dict, ruleset_fingerprint
+
+if TYPE_CHECKING:
+    from repro.learning.ruleset import RuleSet
 
 #: Ruleset body format tag; bump on any incompatible schema change.
 RULESET_FORMAT = "repro-ruleset-v1"
@@ -54,6 +59,8 @@ def build_body(
     counts: Optional[Dict[str, int]] = None,
 ) -> Dict[str, Any]:
     """Assemble a ruleset body from rule collections (index order preserved)."""
+    from repro.learning.store import rule_to_dict
+
     return {
         "format": RULESET_FORMAT,
         "training": training,
@@ -137,6 +144,9 @@ class ServingRuleset:
 
 
 def _ruleset_from_dicts(entries: Sequence[Dict[str, Any]]) -> RuleSet:
+    from repro.learning.ruleset import RuleSet
+    from repro.learning.store import rule_from_dict
+
     rules = RuleSet()
     for entry in entries:
         rules.add(rule_from_dict(entry))
@@ -158,6 +168,7 @@ def serving_ruleset_from_body(
     derivation, no verifier.
     """
     from repro.dbt.translator import TranslationConfig
+    from repro.learning.store import rule_from_dict
 
     validate_body(body)
     learned = _ruleset_from_dicts(body.get("learned", ()))
@@ -219,6 +230,8 @@ def serving_ruleset_from_setup(setup, *, training: str) -> ServingRuleset:
     processes trained on the same corpus report the same identity even
     though no store version exists.
     """
+    from repro.learning.store import ruleset_fingerprint
+
     all_rules = setup.configs["condition"].rules
     seq_len = len(setup.configs["seqparam"].rules.rules) - len(all_rules.rules)
     return ServingRuleset(

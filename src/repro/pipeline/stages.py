@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import atomic_write_text
 from repro.errors import ReproError
+from repro.names import TRAINING_BENCHMARKS
 from repro.pipeline.artifacts import BUILT, HIT, ArtifactStore, artifact_digest
 from repro.pipeline.manifest import (
     RULESET_FORMAT,
@@ -105,9 +106,7 @@ class Pipeline:
             return tuple(BENCHMARK_NAMES)
         if self.config.training != "quick":
             raise ReproError(f"unknown training corpus {self.config.training!r}")
-        from repro.difftest.oracle import TRAINING_BENCHMARKS
-
-        return tuple(TRAINING_BENCHMARKS)
+        return TRAINING_BENCHMARKS
 
     # -- the run -------------------------------------------------------------
 

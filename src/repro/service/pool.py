@@ -36,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -341,6 +342,10 @@ class PoolSupervisor:
         """Blocking supervisor loop; returns the pool's exit code."""
         config = self.config
         ruleset = self._prepare(setup=setup)
+        # Freeze the pre-fork heap: workers inherit it out of the cyclic
+        # collector's reach, so no collection stalls a request walking the
+        # rules, and no collection dirties the shared copy-on-write pages.
+        gc.freeze()
         print(
             f"repro serve: listening on {config.service.host}:{self.port} "
             f"(stage={config.service.stage}, "

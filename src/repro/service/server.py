@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import os
 import signal
@@ -660,6 +661,12 @@ class TranslationService:
             },
             "units_cached": len(gen.units),
             "caches": stats_payload(include_disk=False),
+            # Collections per generation, and the objects gc.freeze()
+            # took out of the collector's reach at boot.
+            "gc": {
+                "generations": gc.get_stats(),
+                "frozen": gc.get_freeze_count(),
+            },
         }
         if self.server_stats is not None:
             payload["server"] = self.server_stats()
@@ -1025,6 +1032,9 @@ async def start_server(
 async def _amain(config: ServiceConfig) -> int:
     server = await start_server(config)
     server.install_signal_handlers()
+    # The boot-time serving generation lives as long as the process; frozen,
+    # full collections no longer re-walk it in the middle of requests.
+    gc.freeze()
     print(
         f"repro serve: listening on {config.host}:{server.port} "
         f"(stage={config.stage}, training={config.training}, "

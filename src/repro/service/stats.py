@@ -1,19 +1,25 @@
 """Service observability: latency histograms and per-endpoint counters.
 
-Latencies go into fixed log-scale bucket histograms (~7% relative bucket
-width from 10µs to >60s), so recording is O(1), memory is constant no
-matter how long the server lives, and p50/p95/p99 come out with bounded
-relative error — the standard serving-system trade against unbounded
-sample reservoirs.
+Latencies go into fixed log-scale bucket histograms: bucket bounds grow
+by 1.35x (35% relative width) from 10µs to ~109s, so recording is O(1)
+and memory is constant no matter how long the server lives — the standard
+serving-system trade against unbounded sample reservoirs.
+
+A quantile reads out as the upper bound of the bucket holding the
+nearest-rank sample, capped at the largest observation.  It is never below
+that sample and at most 1.35x above it (or 10µs, whichever is larger), for
+observations up to the last finite bound; past it, the overflow bucket
+reads out as the maximum.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, List, Optional
 
-#: Exponential bucket upper bounds in seconds: 10µs · 1.35^i, 58 buckets,
-#: topping out above 60s; one overflow bucket catches the rest.
+#: Exponential bucket upper bounds in seconds: 10µs · 1.35^i, 55 finite
+#: buckets, the last at ~109s; one overflow bucket catches the rest.
 _GROWTH = 1.35
 _BUCKET_BOUNDS: List[float] = []
 _bound = 1e-5
@@ -53,11 +59,15 @@ class LatencyHistogram:
                 self.max = seconds
 
     def percentile(self, q: float) -> float:
-        """Upper bucket bound at quantile ``q`` (0..1), 0.0 when empty."""
+        """Upper bucket bound at quantile ``q`` (0..1), 0.0 when empty.
+
+        The bucket is the one holding the nearest-rank sample, the
+        ``max(1, ceil(q * count))``-th smallest observation.
+        """
         with self._lock:
             if not self.count:
                 return 0.0
-            rank = q * self.count
+            rank = max(1, math.ceil(q * self.count))
             seen = 0
             for i, count in enumerate(self._counts):
                 seen += count

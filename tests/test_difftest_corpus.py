@@ -49,3 +49,38 @@ def test_roundtrip(entry, tmp_path):
     with open(os.path.join(CORPUS_DIR, f"{entry.name}.json")) as handle:
         original = handle.read()
     assert rewritten == original
+
+
+def test_snapshot_memory_matches_brute_force_filter():
+    # The snapshot drops environment slots by a precomputed word range; it
+    # must equal, key order included, a per-word filter by address, also
+    # with words planted on both edges of the environment.
+    import json
+
+    from repro.dbt.engine import DBTEngine
+    from repro.dbt.runtime import ENV_WORDS, is_env_address
+    from repro.difftest.oracle import assemble_program
+    from repro.errors import ExecutionError
+
+    env_lo, env_hi = ENV_WORDS
+    checked = 0
+    for entry in CORPUS:
+        unit = assemble_program(entry.lines)
+        try:
+            result = DBTEngine(unit, stage_config(entry.stage), backend="jit").run()
+        except ExecutionError:
+            continue
+        memory = result.state.memory
+        for word in (env_lo - 1, env_lo, env_hi - 1, env_hi):
+            memory.setdefault(word, 0x5A5A)
+        expected = {
+            word: value
+            for word, value in memory.items()
+            if value and not is_env_address(word * 4)
+        }
+        snapshot = result.architectural_snapshot()["memory"]
+        assert json.dumps(snapshot) == json.dumps(expected), entry.name
+        assert env_lo - 1 in snapshot and env_hi in snapshot
+        assert any(env_lo <= word < env_hi for word in memory)
+        checked += 1
+    assert checked >= 10

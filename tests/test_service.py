@@ -12,15 +12,31 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import protocol
 from repro.service.codecache import SingleFlightCodeCache
 from repro.service.server import ServiceConfig, TranslationService, start_server
 from repro.service.shards import ShardedRuleIndex, shard_of
-from repro.service.stats import EndpointStats, LatencyHistogram
+from repro.service.stats import _BUCKET_BOUNDS, EndpointStats, LatencyHistogram
+
+#: The largest latency the histogram's error bound covers.
+_LAST_FINITE_BOUND = _BUCKET_BOUNDS[-2]
+
+#: Latencies spread over every bucket: exact zeros, log-uniform values from
+#: 0.1µs up to the last finite bound, and the bucket bounds themselves.
+_latencies = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-7.0, max_value=math.log10(_LAST_FINITE_BOUND)).map(
+        lambda exponent: min(10.0 ** exponent, _LAST_FINITE_BOUND)
+    ),
+    st.sampled_from(_BUCKET_BOUNDS[:-1]),
+)
 
 
 @pytest.fixture(scope="session")
@@ -169,6 +185,29 @@ class TestStats:
         assert 2.0 <= summary["p50_ms"] <= 3.0 * 1.35
         assert summary["p99_ms"] <= summary["max_ms"] == 100.0
         assert summary["mean_ms"] == pytest.approx(22.0, rel=0.01)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=st.lists(_latencies, min_size=1, max_size=300),
+        q=st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                    st.sampled_from((0.0, 0.5, 0.95, 0.99, 1.0))),
+    )
+    def test_percentile_error_bound(self, samples, q):
+        """A quantile is never below the nearest-rank sample quantile and at
+        most one bucket (1.35x, 10µs floor) above it, capped at the max."""
+        hist = LatencyHistogram()
+        for seconds in samples:
+            hist.observe(seconds)
+        ordered = sorted(samples)
+        exact = ordered[max(1, math.ceil(q * len(ordered))) - 1]
+        got = hist.percentile(q)
+        assert exact <= got <= min(ordered[-1], max(1e-5, 1.35 * exact))
+
+    def test_overflow_bucket_reads_as_max(self):
+        hist = LatencyHistogram()
+        for seconds in (0.001, 2 * _LAST_FINITE_BOUND, 3 * _LAST_FINITE_BOUND):
+            hist.observe(seconds)
+        assert hist.percentile(0.5) == hist.percentile(1.0) == 3 * _LAST_FINITE_BOUND
 
     def test_histogram_empty(self):
         summary = LatencyHistogram().summary()

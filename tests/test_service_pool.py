@@ -435,7 +435,12 @@ def pool_server(tmp_path_factory, shared_cache_dir):
         extra=_DETERMINISTIC,
     )
     yield handle
-    handle.kill()
+    # SIGTERM first: the parent fans the drain out to its workers.  A bare
+    # SIGKILL of the parent would leave the forked workers running.
+    try:
+        handle.terminate()
+    finally:
+        handle.kill()
 
 
 class TestPoolEquivalenceProperty:
@@ -485,3 +490,23 @@ def _request_raw(port: int, obj: dict) -> bytes:
         return conn.request_raw(obj)
     finally:
         conn.close()
+
+
+# ---------------------------------------------------------------------------
+# boot-time GC freeze
+
+
+class TestGcFreeze:
+    @pytest.mark.parametrize("server", ["solo_server", "pool_server"])
+    def test_booted_server_reports_frozen_objects(self, server, request):
+        """`repro serve` freezes its boot heap before listening, and a pool
+        parent before forking: the stats op of either reports the frozen
+        objects and per-generation collection counts."""
+        handle = request.getfixturevalue(server)
+        stats = _request(handle.port, {"id": "gc", "op": "stats"})
+        assert stats["ok"]
+        block = stats["result"]["gc"]
+        assert block["frozen"] > 0
+        assert block["generations"]
+        for generation in block["generations"]:
+            assert generation["collections"] >= 0
